@@ -91,7 +91,7 @@ def bench_facade_overhead(calls=OVERHEAD_CALLS):
 def _mixed_bag(copies=3, seed=7):
     """A bag of independent mixed specs over a small network (sized so
     every exact solve runs to optimality well inside the node budget --
-    budget-truncated searches would make the scalar-vs-frontier verdict
+    budget-truncated searches would make the width-1 vs width-K verdict
     comparison ill-posed)."""
     network = random_relu_network([4, 12, 8, 2], seed=seed, weight_scale=0.4)
     box = Box(-np.ones(4), np.ones(4))
@@ -142,9 +142,9 @@ def bench_submit_throughput(copies=3, repeats=BAG_REPEAT):
         if holds_reference is None:
             holds_reference = holds
         else:
-            # workers=1 runs the scalar best-first search -- a different
-            # algorithm agreeing within tol -- so across *all* counts only
-            # the three-valued answers are gated ...
+            # workers=1 runs the best-first search (frontier width 1) --
+            # a different trajectory agreeing within tol -- so across
+            # *all* counts only the three-valued answers are gated ...
             assert holds == holds_reference, (
                 f"submit answers changed at workers={workers}")
         if workers >= 2:

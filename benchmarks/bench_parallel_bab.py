@@ -4,14 +4,16 @@ Measures the tentpole of the frontier search on a width-64 threshold
 workload (the scale where one node LP costs enough for concurrency to
 matter): prove ``max c @ f(x) <= threshold`` with
 
-* the historical scalar best-first search (``workers=1``, the baseline);
-* the frontier search at ``workers in {1, 2, 4, 8}`` -- ``workers=1``
-  isolates the frontier algorithm's own overhead/speculation, the wider
-  runs add pure LP concurrency on top (the trajectory is identical across
-  worker counts by construction, so their statuses must be byte-identical
-  and their optima bitwise equal).
+* the best-first search (``workers=1``, ``frontier_width=1``, the
+  default on one worker and the baseline);
+* the frontier search at ``frontier_width=FRONTIER_WIDTH`` and
+  ``workers in {1, 2, 4, 8}`` -- ``workers=1`` isolates the wide
+  frontier's own overhead/speculation, the wider runs add pure LP
+  concurrency on top (the trajectory is identical across worker counts
+  by construction, so their statuses must be byte-identical and their
+  optima bitwise equal).
 
-The speedup headline is ``speedup_vs_scalar`` at ``workers=4``; the
+The speedup headline is ``speedup_vs_best_first`` at ``workers=4``; the
 acceptance gate of the PR is >= 2x on a multi-core machine.  Wall-clock
 numbers are only meaningful with real cores: the record carries
 ``cpu_count`` so single-core CI smoke runs are not misread as regressions
@@ -40,7 +42,7 @@ if __package__ in (None, ""):  # standalone: make src/ and repo root importable
             sys.path.insert(0, entry)
 
 from repro.domains import Box
-from repro.exact import BaBSolver, NetworkEncoding
+from repro.exact import FRONTIER_WIDTH, BaBSolver, NetworkEncoding
 
 from benchmarks.common import emit_json
 
@@ -79,34 +81,35 @@ def _best_of(fn, repeats=REPEATS):
 
 def run_worker_sweep(width=WIDTH, probe_limit=500, repeats=REPEATS,
                      worker_counts=WORKER_COUNTS):
-    """Scalar baseline plus the frontier search per worker count."""
+    """Best-first baseline plus the frontier search per worker count."""
     network, box, c, threshold = _workload(width, probe_limit)
     node_limit = 3 * probe_limit
 
-    def solve(workers, frontier):
+    def solve(workers, frontier_width):
         # A cold encoding per run keeps base assembly inside the timed
         # region for every configuration equally.
         encoding = NetworkEncoding(network, box)
         solver = BaBSolver(network, box, encoding=encoding,
                            node_limit=node_limit, workers=workers,
-                           frontier=frontier)
+                           frontier_width=frontier_width)
         return solver.maximize(c, threshold=threshold)
 
-    scalar, scalar_s = _best_of(lambda: solve(1, False), repeats)
+    base, base_s = _best_of(lambda: solve(1, 1), repeats)
     rows = [{
-        "mode": "scalar",
+        "mode": "best_first",
         "workers": 1,
-        "status": scalar.status,
-        "upper_bound": scalar.upper_bound,
-        "lp_solves": scalar.lp_solves,
-        "nodes": scalar.nodes,
-        "rounds": scalar.rounds,
-        "max_batch": scalar.max_batch,
-        "wall_s": scalar_s,
-        "speedup_vs_scalar": 1.0,
+        "status": base.status,
+        "upper_bound": base.upper_bound,
+        "lp_solves": base.lp_solves,
+        "nodes": base.nodes,
+        "rounds": base.rounds,
+        "max_batch": base.max_batch,
+        "wall_s": base_s,
+        "speedup_vs_best_first": 1.0,
     }]
     for workers in worker_counts:
-        res, wall_s = _best_of(lambda w=workers: solve(w, True), repeats)
+        res, wall_s = _best_of(
+            lambda w=workers: solve(w, FRONTIER_WIDTH), repeats)
         rows.append({
             "mode": "frontier",
             "workers": workers,
@@ -118,7 +121,7 @@ def run_worker_sweep(width=WIDTH, probe_limit=500, repeats=REPEATS,
             "max_batch": res.max_batch,
             "mean_batch": res.mean_batch,
             "wall_s": wall_s,
-            "speedup_vs_scalar": scalar_s / wall_s if wall_s > 0
+            "speedup_vs_best_first": base_s / wall_s if wall_s > 0
             else float("inf"),
         })
     return {
@@ -133,25 +136,25 @@ def check_determinism(record):
     """The correctness gates every run must satisfy, any machine."""
     rows = record["rows"]
     frontier = [r for r in rows if r["mode"] == "frontier"]
-    scalar = next(r for r in rows if r["mode"] == "scalar")
+    base = next(r for r in rows if r["mode"] == "best_first")
     # Byte-identical verdicts and bitwise-identical bounds across worker
     # counts (the trajectory does not depend on the pool width) ...
     assert len({r["status"] for r in frontier}) == 1, frontier
     assert len({r["upper_bound"] for r in frontier}) == 1, frontier
     assert len({r["lp_solves"] for r in frontier}) == 1, frontier
-    # ... and agreement with the scalar search.  Scalar vs frontier is a
-    # *different algorithm* (best-first vs width-K rounds), so near the
-    # node budget the two can legitimately land on different closing
-    # statuses; accept any pair of sound "proof closed" verdicts, and
-    # require bound agreement only when both ran to optimality.  (At
-    # "threshold_proved" the bound's *value* at proof time is
-    # trajectory-dependent -- both must merely sit below the threshold.)
+    # ... and agreement with the best-first search.  Width 1 vs width K
+    # are different trajectories, so near the node budget the two can
+    # legitimately land on different closing statuses; accept any pair of
+    # sound "proof closed" verdicts, and require bound agreement only when
+    # both ran to optimality.  (At "threshold_proved" the bound's *value*
+    # at proof time is trajectory-dependent -- both must merely sit below
+    # the threshold.)
     closed = {"threshold_proved", "optimal"}
-    s, f = scalar["status"], frontier[0]["status"]
-    assert s == f or (s in closed and f in closed), (s, f)
-    if s == f == "optimal":
-        assert abs(frontier[0]["upper_bound"] - scalar["upper_bound"]) <= 1e-6
-    for r in (scalar, frontier[0]):
+    b, f = base["status"], frontier[0]["status"]
+    assert b == f or (b in closed and f in closed), (b, f)
+    if b == f == "optimal":
+        assert abs(frontier[0]["upper_bound"] - base["upper_bound"]) <= 1e-6
+    for r in (base, frontier[0]):
         if r["status"] == "threshold_proved":
             assert r["upper_bound"] <= record["threshold"] + 1e-6, r
 
@@ -161,13 +164,13 @@ def test_report_parallel_bab(capsys):
                               worker_counts=(1, 2, 4))
     lines = [f"\nParallel frontier BaB, width {record['width']} "
              f"(cpu_count={record['cpu_count']})",
-             f"  {'mode':>8} | {'workers':>7} | {'status':>17} | "
+             f"  {'mode':>10} | {'workers':>7} | {'status':>17} | "
              f"{'lp_solves':>9} | {'wall [ms]':>9} | {'speedup':>7}"]
     for r in record["rows"]:
         lines.append(
-            f"  {r['mode']:>8} | {r['workers']:>7} | {r['status']:>17} | "
+            f"  {r['mode']:>10} | {r['workers']:>7} | {r['status']:>17} | "
             f"{r['lp_solves']:>9} | {1e3 * r['wall_s']:>9.1f} | "
-            f"{r['speedup_vs_scalar']:>6.2f}x")
+            f"{r['speedup_vs_best_first']:>6.2f}x")
     with capsys.disabled():
         print("\n".join(lines))
     check_determinism(record)

@@ -6,8 +6,10 @@ enlargement.  Branching decisions, unlike cuts, are partitions -- they
 survive both fine-tuning and enlargement.  This bench measures:
 
 * **cold vs warm threshold proofs**: LP count and wall time of a full
-  branch-and-bound proof vs re-proving the fine-tuned network from the
-  stored branching certificate;
+  branch-and-bound proof (a :class:`~repro.api.ThresholdSpec` through the
+  engine) vs re-proving the fine-tuned network warm-started from the
+  recorded certificate (:func:`repro.certs.prove_threshold` with
+  ``cert=``);
 * **LP bound tightening**: the node-count reduction exact search gains from
   optimisation-based presolve, against its LP cost.
 """
@@ -15,43 +17,62 @@ survive both fine-tuning and enlargement.  This bench measures:
 import numpy as np
 import pytest
 
+from repro.api import ThresholdSpec, VerificationEngine, VerifyConfig
+from repro.certs import certificate_key, load_certificate, prove_threshold
 from repro.domains import Box
-from repro.exact import (
-    BaBSolver,
-    certify_threshold,
-    maximize_output,
-    prove_with_certificate,
-    tighten_preactivation_bounds,
-)
+from repro.exact import BaBSolver, tighten_preactivation_bounds
 from repro.exact.encoding import NetworkEncoding
 from repro.nn import random_relu_network
+from repro.serve import JobStore
 
+C = np.array([1.0])
+CONFIG = VerifyConfig()
 
 @pytest.fixture(scope="module")
 def hard_instance():
     """An instance whose threshold proof needs a non-trivial tree."""
     net = random_relu_network([5, 14, 12, 1], seed=11, weight_scale=0.9)
     box = Box(-0.8 * np.ones(5), 0.8 * np.ones(5))
-    opt = maximize_output(net, box, np.array([1.0]), node_limit=20000)
+    opt = BaBSolver(net, box, node_limit=20000).maximize(C)
     threshold = opt.upper_bound + 1e-3  # tight: forces real bounding work
     return net, box, threshold
 
 
+def cold_proof(net, box, threshold, certs=None):
+    """From-scratch threshold proof through the engine."""
+    config = CONFIG if certs is None else CONFIG.replace(certs="record")
+    return VerificationEngine(config, certs=certs).verify(ThresholdSpec(
+        network=net, input_box=box, objective=C, threshold=threshold))
+
+
+def recorded_certificate(net, box, threshold):
+    """The certificate a recording engine stores for a cold proof."""
+    with JobStore() as store:
+        assert cold_proof(net, box, threshold, certs=store).holds is True
+        cert_json = store.cert_get(
+            certificate_key(net, box, C, threshold, CONFIG))
+    return load_certificate(cert_json)
+
+
+def warm_proof(net, box, threshold, cert):
+    result, _ = prove_threshold(net, box, C, threshold, CONFIG, cert=cert)
+    return result
+
+
 def test_certificate_roundtrip(hard_instance):
     net, box, threshold = hard_instance
-    res, cert = certify_threshold(net, box, np.array([1.0]), threshold)
-    assert cert is not None
+    cert = recorded_certificate(net, box, threshold)
     tuned = net.perturb(1e-5, np.random.default_rng(0))
-    warm = prove_with_certificate(tuned, box, cert)
+    warm = warm_proof(tuned, box, threshold, cert)
     assert warm.status in ("threshold_proved", "optimal")
 
 
 def test_report_cold_vs_warm(hard_instance, capsys):
     net, box, threshold = hard_instance
-    cold_res, cert = certify_threshold(net, box, np.array([1.0]), threshold)
+    cert = recorded_certificate(net, box, threshold)
     tuned = net.perturb(1e-5, np.random.default_rng(0))
-    cold_again, _ = certify_threshold(tuned, box, np.array([1.0]), threshold)
-    warm = prove_with_certificate(tuned, box, cert)
+    cold_again = cold_proof(tuned, box, threshold).result
+    warm = warm_proof(tuned, box, threshold, cert)
     with capsys.disabled():
         print("\nBranching-certificate reuse (fine-tuned network, "
               f"threshold {threshold:.4g})")
@@ -89,18 +110,16 @@ def test_report_tightening(hard_instance, capsys):
 
 def test_benchmark_cold_proof(hard_instance, benchmark):
     net, box, threshold = hard_instance
-    benchmark.pedantic(
-        lambda: certify_threshold(net, box, np.array([1.0]), threshold),
-        rounds=3, iterations=1)
+    benchmark.pedantic(lambda: cold_proof(net, box, threshold),
+                       rounds=3, iterations=1)
 
 
 def test_benchmark_warm_proof(hard_instance, benchmark):
     net, box, threshold = hard_instance
-    _, cert = certify_threshold(net, box, np.array([1.0]), threshold)
+    cert = recorded_certificate(net, box, threshold)
     tuned = net.perturb(1e-5, np.random.default_rng(0))
-    benchmark.pedantic(
-        lambda: prove_with_certificate(tuned, box, cert),
-        rounds=3, iterations=1)
+    benchmark.pedantic(lambda: warm_proof(tuned, box, threshold, cert),
+                       rounds=3, iterations=1)
 
 
 def test_benchmark_tightening_pass(hard_instance, benchmark):

@@ -3,7 +3,7 @@ free functions.
 
 PR 4 made :class:`repro.api.VerificationEngine` the single entry point
 and left the pre-engine free functions (``check_containment``,
-``certify_threshold``, ``check_prop1`` ...) as thin deprecated shims that
+``maximize_output``, ``check_prop1`` ...) as thin deprecated shims that
 emit :class:`~repro.api.config.LegacyEntryPointWarning` and forward to
 ``_``-prefixed implementations.  The shims exist *only* for external
 callers; ``src/`` code calling one re-enters the library through the
@@ -31,7 +31,6 @@ LEGACY_ENTRYPOINTS = {
     "output_range_exact": "repro.exact.verify",
     "maximize_output": "repro.exact.bab",
     "minimize_output": "repro.exact.bab",
-    "certify_threshold": "repro.exact.incremental",
     "check_prop1": "repro.core.propositions",
     "check_prop2": "repro.core.propositions",
     "check_prop4": "repro.core.propositions",

@@ -56,8 +56,9 @@ DEFAULT_NODE_LIMIT = 2000
 DEFAULT_FULL_NODE_LIMIT = 20000
 #: Box budget of the split-refinement containment method.
 DEFAULT_MAX_BOXES = 2000
-#: Worker-pool width; ``>= 2`` switches the exact legs to the parallel
-#: frontier search (verdicts do not depend on the pool width).
+#: Worker-pool width.  The exact legs always run the frontier search; one
+#: worker expands one node per round (best-first), ``>= 2`` expand
+#: ``FRONTIER_WIDTH`` per round and solve a round's LPs concurrently.
 DEFAULT_WORKERS = 1
 #: Containment method cascade (``repro.exact.verify.METHODS``).
 DEFAULT_METHOD = "auto"
@@ -128,8 +129,9 @@ class VerifyConfig:
     full_node_limit: int = DEFAULT_FULL_NODE_LIMIT
     max_boxes: int = DEFAULT_MAX_BOXES
     workers: int = DEFAULT_WORKERS
-    #: Nodes expanded per frontier round (``None`` = the solver's fixed
-    #: constant, keeping verdicts independent of the pool width).
+    #: Nodes expanded per frontier round.  ``None`` = 1 when
+    #: ``workers == 1`` and ``FRONTIER_WIDTH`` otherwise, so verdicts do
+    #: not depend on how wide a pool (of two or more) is.
     frontier_width: Optional[int] = None
     method: str = DEFAULT_METHOD
     domain: str = DEFAULT_DOMAIN
@@ -373,5 +375,6 @@ class ServeConfig:
 
 
 # Not a field default, but the frontier constant belongs to the same audit:
-# repro.exact.parallel_bab.FRONTIER_WIDTH stays the solver-level source for
-# ``frontier_width=None`` so trajectories remain pool-width independent.
+# repro.exact.parallel_bab.FRONTIER_WIDTH stays the solver-level source of
+# the ``frontier_width=None`` rule (1 on one worker, FRONTIER_WIDTH on a
+# pool), stated once in repro.exact.parallel_bab.maximize_frontier.

@@ -12,19 +12,22 @@ and returns uniform :class:`~repro.api.verdict.Verdict` objects:
   seeds the continuous loop's proof artifacts.
 
 Every run draws encodings from the fingerprint-keyed cache of PR 2
-(unless the config's ``encoding_cache="private"``) and reports the cache
-delta, wall time, and LP/node counts as :class:`Provenance`.  The legacy
-free functions are now thin deprecation shims over this class; new code
-and future sharding/async layers extend the engine, not N signatures.
+(unless the config's ``encoding_cache="private"``) and reports its own
+cache hits/misses, wall time, and LP/node counts as :class:`Provenance`.
+The legacy free functions are now thin deprecation shims over this class;
+new code and future sharding/async layers extend the engine, not N
+signatures.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Sequence)
 
 from repro.errors import ReproError
-from repro.exact.encoding import encoding_cache_stats
+from repro.exact.encoding import count_encoding_reuse
 from repro.api.config import VerifyConfig
 from repro.api.specs import (
     ContainmentSpec,
@@ -48,6 +51,9 @@ from repro.api.verdict import (
     Verdict,
 )
 
+if TYPE_CHECKING:
+    from repro.certs.certificate import Certificate
+
 __all__ = ["VerificationEngine", "verify", "submit"]
 
 #: Historical per-proposition containment-method defaults (``None`` means
@@ -59,29 +65,39 @@ _PROP_METHOD_DEFAULTS: Dict[int, Optional[str]] = {
 
 
 class _Run:
-    """Provenance bookkeeping around one spec execution."""
+    """Provenance bookkeeping around one spec execution; see :func:`_run`."""
 
-    def __init__(self):
-        self.snapshot = encoding_cache_stats()
+    def __init__(self, reuse: Dict[str, int]):
+        #: Live encoding-cache tally of this run alone.
+        self.reuse = reuse
         self.started = time.perf_counter()
 
     def provenance(self, config: VerifyConfig, *, lp_solves: int = 0,
                    nodes: int = 0, rounds: int = 0, nodes_reused: int = 0,
-                   lp_solves_saved: int = 0, cert_hit: bool = False):
-        from repro.api.verdict import Provenance
-
-        now = encoding_cache_stats()
+                   lp_solves_saved: int = 0,
+                   cert_hit: bool = False) -> Provenance:
         return Provenance(
             elapsed=time.perf_counter() - self.started,
             lp_solves=int(lp_solves),
             nodes=int(nodes),
             rounds=int(rounds),
             workers=config.workers,
-            encoding_reuse={k: now[k] - self.snapshot.get(k, 0) for k in now},
+            encoding_reuse=dict(self.reuse),
             nodes_reused=int(nodes_reused),
             lp_solves_saved=int(lp_solves_saved),
             cert_hit=bool(cert_hit),
         )
+
+
+@contextmanager
+def _run() -> Iterator[_Run]:
+    """One spec execution's bookkeeping.  The encoding-cache tally counts
+    only the :meth:`~repro.exact.encoding.NetworkEncoding.for_problem`
+    calls made inside the block (and the pool tasks it submits), so runs
+    overlapping on other threads never leak into each other's
+    ``encoding_reuse``."""
+    with count_encoding_reuse() as reuse:
+        yield _Run(reuse)
 
 
 class VerificationEngine:
@@ -112,7 +128,8 @@ class VerificationEngine:
                 f"VerificationEngine cannot execute {type(spec).__name__}; "
                 "supported Specs: "
                 + ", ".join(sorted(c.__name__ for c in self._HANDLERS)))
-        return handler(self, spec, cfg)
+        with _run() as run:
+            return handler(self, spec, cfg, run)
 
     def submit(self, specs: Iterable[Spec],
                config: Optional[VerifyConfig] = None, *,
@@ -123,9 +140,9 @@ class VerificationEngine:
         pool of :mod:`repro.core.parallel` (nested frontier solves divert
         or degrade gracefully there).  Verdicts are identical to running
         each spec alone -- the frontier trajectory depends only on the
-        configured width, never on granted concurrency -- but per-verdict
-        ``encoding_reuse`` deltas overlap in time and are only meaningful
-        summed over the batch.
+        configured width, never on granted concurrency -- and each
+        verdict's ``encoding_reuse`` counts that spec's own cache hits and
+        misses, exactly as if it had run alone.
 
         A spec whose execution *raises* yields a :class:`FailedVerdict`
         entry in its slot instead of losing the rest of the batch; the
@@ -158,18 +175,18 @@ class VerificationEngine:
 
     def _verify_caught(self, spec: Spec, cfg: VerifyConfig) -> Verdict:
         """One spec execution with per-spec error capture (submit path)."""
-        run = _Run()
-        try:
-            return self.verify(spec, cfg)
-        except Exception as exc:  # noqa: BLE001 - the point is containment
-            return FailedVerdict(
-                spec_type=getattr(spec, "spec_type", "unknown"),
-                holds=None,
-                provenance=run.provenance(cfg),
-                detail=f"{type(exc).__name__}: {exc}",
-                error=str(exc),
-                error_type=type(exc).__name__,
-            )
+        with _run() as run:
+            try:
+                return self.verify(spec, cfg)
+            except Exception as exc:  # noqa: BLE001 - the point is containment
+                return FailedVerdict(
+                    spec_type=getattr(spec, "spec_type", "unknown"),
+                    holds=None,
+                    provenance=run.provenance(cfg),
+                    detail=f"{type(exc).__name__}: {exc}",
+                    error=str(exc),
+                    error_type=type(exc).__name__,
+                )
 
     @staticmethod
     def _timeout_verdict(spec: Spec, cfg: VerifyConfig) -> FailedVerdict:
@@ -194,28 +211,27 @@ class VerificationEngine:
         from repro.core.verifier import _verify_from_scratch
 
         cfg = config or self.config
-        run = _Run()
-        outcome = _verify_from_scratch(
-            problem, domain=domain, state_buffer=state_buffer, rigor=rigor,
-            lipschitz_ord=lipschitz_ord,
-            with_network_abstraction=with_network_abstraction,
-            netabs_groups=netabs_groups, netabs_margin=netabs_margin,
-            config=cfg)
-        return BaselineVerdict(
-            spec_type="baseline",
-            holds=outcome.holds,
-            provenance=run.provenance(cfg, lp_solves=outcome.lp_solves,
-                                      nodes=outcome.nodes),
-            detail=outcome.detail,
-            result=outcome,
-        )
+        with _run() as run:
+            outcome = _verify_from_scratch(
+                problem, domain=domain, state_buffer=state_buffer,
+                rigor=rigor, lipschitz_ord=lipschitz_ord,
+                with_network_abstraction=with_network_abstraction,
+                netabs_groups=netabs_groups, netabs_margin=netabs_margin,
+                config=cfg)
+            return BaselineVerdict(
+                spec_type="baseline",
+                holds=outcome.holds,
+                provenance=run.provenance(cfg, lp_solves=outcome.lp_solves,
+                                          nodes=outcome.nodes),
+                detail=outcome.detail,
+                result=outcome,
+            )
 
     # -------------------------------------------------------------- handlers
     def _verify_containment(self, spec: ContainmentSpec,
-                            cfg: VerifyConfig) -> ContainmentVerdict:
+                            cfg: VerifyConfig, run: _Run) -> ContainmentVerdict:
         from repro.exact.verify import _check_containment
 
-        run = _Run()
         result = _check_containment(
             spec.network, spec.input_box, spec.target,
             method=spec.method if spec.method is not None else cfg.method,
@@ -230,10 +246,9 @@ class VerificationEngine:
         )
 
     def _verify_output_range(self, spec: OutputRangeSpec,
-                             cfg: VerifyConfig) -> RangeVerdict:
+                             cfg: VerifyConfig, run: _Run) -> RangeVerdict:
         from repro.exact.verify import _output_range_exact
 
-        run = _Run()
         box, lp_solves, nodes = _output_range_exact(
             spec.network, spec.input_box, config=cfg)
         return RangeVerdict(
@@ -245,28 +260,25 @@ class VerificationEngine:
         )
 
     def _verify_threshold(self, spec: ThresholdSpec,
-                          cfg: VerifyConfig) -> ThresholdVerdict:
+                          cfg: VerifyConfig, run: _Run) -> ThresholdVerdict:
+        from repro.certs.reuse import prove_threshold
         from repro.exact.bab import BAB_REFUTED
-        from repro.exact.incremental import _certify_threshold
 
-        run = _Run()
-        result = certificate = None
-        cert_hit = False
-        key = None
-        lp_baseline = 0
+        key = stored = None
         if self.certs is not None and cfg.certs != "off":
             from repro.certs import certificate_key
 
             key = certificate_key(spec.network, spec.input_box,
                                   spec.objective, spec.threshold, cfg)
         if key is not None and cfg.certs == "reuse":
-            result, certificate, cert_hit, lp_baseline = \
-                self._reuse_certificate(spec, cfg, key)
-        if result is None:
-            # Capture node-LP duals only when a store could record them.
-            result, certificate = _certify_threshold(
-                spec.network, spec.input_box, spec.objective, spec.threshold,
-                config=cfg, collect_duals={} if key is not None else None)
+            stored = self._stored_certificate(spec, cfg, key)
+        cert_hit = stored is not None
+        # The stored from-scratch LP count savings are measured against.
+        lp_baseline = int(stored.lp_solves) if cert_hit else 0
+        # Capture node-LP duals only when a store could record them.
+        result, certificate = prove_threshold(
+            spec.network, spec.input_box, spec.objective, spec.threshold,
+            cfg, cert=stored, collect_duals={} if key is not None else None)
         if key is not None and certificate is not None and \
                 not (cert_hit and result.lp_solves == 0):
             # Record (REPLACE) the *latest* proved network's covering
@@ -309,22 +321,19 @@ class VerificationEngine:
             certificate=certificate,
         )
 
-    def _reuse_certificate(self, spec: ThresholdSpec, cfg: VerifyConfig,
-                           key: str):
-        """Try one stored certificate: fetch, parse, validate, warm-start.
+    def _stored_certificate(self, spec: ThresholdSpec, cfg: VerifyConfig,
+                            key: str) -> Optional["Certificate"]:
+        """Fetch, parse and validate one stored certificate.
 
-        Returns ``(result, certificate, True, lp_baseline)`` on a usable
-        hit -- ``lp_baseline`` the stored from-scratch LP count savings
-        are measured against -- and ``(None, None, False, 0)`` otherwise:
-        a miss, a malformed payload, or a stale/incompatible artifact all
-        land on the same from-scratch fallback (a certificate may cost a
-        lookup, never a verdict).
+        Returns the :class:`~repro.certs.certificate.Certificate` to
+        warm-start from, or ``None``: a miss, a malformed payload, or a
+        stale/incompatible artifact all land on the same from-scratch
+        solve (a certificate may cost a lookup, never a verdict).
         """
         cert_json = self.certs.cert_get(key)
         if cert_json is None:
-            return None, None, False, 0
-        from repro.certs import (load_certificate, reverify_with_certificate,
-                                 validate_certificate)
+            return None
+        from repro.certs import load_certificate, validate_certificate
         from repro.errors import CertificateError
 
         try:
@@ -332,16 +341,12 @@ class VerificationEngine:
             validate_certificate(stored, spec.network, spec.objective,
                                  spec.threshold, cfg)
         except CertificateError:
-            # Rejected (corrupt, stale fingerprint, non-covering leaves):
-            # the verdict must come from a from-scratch solve.
-            return None, None, False, 0
-        result, certificate = reverify_with_certificate(
-            spec.network, spec.input_box, spec.objective, spec.threshold,
-            stored, config=cfg)
-        return result, certificate, True, int(stored.lp_solves)
+            # Rejected (corrupt, stale fingerprint, non-covering leaves).
+            return None
+        return stored
 
     def _verify_maximize(self, spec: MaximizeSpec,
-                         cfg: VerifyConfig) -> MaximizeVerdict:
+                         cfg: VerifyConfig, run: _Run) -> MaximizeVerdict:
         from repro.exact.bab import (
             BAB_OPTIMAL,
             BAB_PROVED,
@@ -350,7 +355,6 @@ class VerificationEngine:
             _minimize_output,
         )
 
-        run = _Run()
         solve = _minimize_output if spec.minimize else _maximize_output
         result = solve(spec.network, spec.input_box, spec.objective,
                        threshold=spec.threshold, config=cfg)
@@ -376,13 +380,12 @@ class VerificationEngine:
         )
 
     def _verify_proposition(self, spec: PropositionSpec,
-                            cfg: VerifyConfig) -> PropositionVerdict:
+                            cfg: VerifyConfig, run: _Run) -> PropositionVerdict:
         from repro.core import propositions as props
 
         method = spec.method
         if method is None:  # kind 3 is pure arithmetic: no method at all
             method = _PROP_METHOD_DEFAULTS.get(spec.kind) or cfg.method
-        run = _Run()
         if spec.kind == 1:
             result = props._check_prop1(spec.artifacts, spec.enlarged_din,
                                         method=method, config=cfg)
@@ -420,11 +423,10 @@ class VerificationEngine:
         )
 
     def _verify_continuous(self, spec: ContinuousLoopSpec,
-                           cfg: VerifyConfig) -> ContinuousVerdict:
+                           cfg: VerifyConfig, run: _Run) -> ContinuousVerdict:
         from repro.core.continuous import ContinuousVerifier
         from repro.core.problem import SVbTV, SVuDC
 
-        run = _Run()
         verifier = ContinuousVerifier(spec.artifacts, config=cfg,
                                       certs=self.certs)
         if spec.new_network is None:

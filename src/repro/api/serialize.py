@@ -461,7 +461,7 @@ def _certificate_to_jsonable(cert) -> Dict:
 
 
 def _certificate_from_jsonable(data: Dict):
-    from repro.exact.incremental import BranchCertificate
+    from repro.certs.certificate import BranchCertificate
 
     return BranchCertificate(
         objective=array_from_jsonable(data["objective"]),

@@ -159,8 +159,7 @@ class OutputRangeSpec(Spec):
 @dataclass(frozen=True, eq=False)
 class ThresholdSpec(Spec):
     """Prove ``max objective @ network(x) <= threshold`` and keep the
-    branching certificate (legacy
-    :func:`repro.exact.incremental.certify_threshold`)."""
+    branching certificate (:func:`repro.certs.reuse.prove_threshold`)."""
 
     network: Network
     input_box: Box

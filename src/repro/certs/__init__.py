@@ -31,6 +31,7 @@ API -- the ``cert-discipline`` lint rule enforces both.
 
 from repro.certs.certificate import (
     CERT_VERSION,
+    BranchCertificate,
     Certificate,
     certificate_key,
     content_fingerprint,
@@ -42,10 +43,11 @@ from repro.certs.certificate import (
 from repro.certs.reuse import (
     dual_start_screen,
     extract_certificate,
-    reverify_with_certificate,
+    prove_threshold,
 )
 
 __all__ = [
+    "BranchCertificate",
     "CERT_VERSION",
     "Certificate",
     "certificate_key",
@@ -54,7 +56,7 @@ __all__ = [
     "extract_certificate",
     "leaves_cover",
     "load_certificate",
-    "reverify_with_certificate",
+    "prove_threshold",
     "structural_fingerprint",
     "validate_certificate",
 ]

@@ -1,9 +1,10 @@
-"""The certificate artifact: what a proved threshold solve leaves behind.
+"""The certificate artifacts: what a proved threshold solve leaves behind.
 
-A :class:`Certificate` extends the solver-level
-:class:`~repro.exact.incremental.BranchCertificate` (a bare covering set
-of phase-map leaves) with everything a *store* needs to hand it to a
-future, slightly different problem:
+A :class:`BranchCertificate` is the in-memory proof of one solve: the
+covering set of settled phase-map leaves that
+:attr:`~repro.api.verdict.ThresholdVerdict.certificate` carries.  A
+:class:`Certificate` extends it with everything a *store* needs to hand
+it to a future, slightly different problem:
 
 * per-leaf bounds and verdicts from the batched float64 screen at record
   time (provenance -- the reuse path re-derives them, never trusts them);
@@ -40,6 +41,7 @@ from repro.api.serialize import (
 )
 
 __all__ = [
+    "BranchCertificate",
     "CERT_VERSION",
     "Certificate",
     "certificate_key",
@@ -123,11 +125,42 @@ def certificate_key(network: Network, input_box, objective: np.ndarray,
 
 
 @dataclass
+class BranchCertificate:
+    """A covering set of settled branch-and-bound leaves.
+
+    Phase constraints are region restrictions (``z >= 0`` / ``z <= 0``),
+    so the leaves partition the input region of *any* network with the
+    same block shapes: branching decisions survive weight updates and
+    domain enlargement, where a MILP cut (a consequence of the old
+    feasible set) would not.  ``block_dims`` pins the architecture the
+    phase maps refer to; ``threshold`` and ``objective`` record what was
+    proved.
+    """
+
+    objective: np.ndarray
+    threshold: float
+    leaves: List[Dict] = field(default_factory=list)
+    block_dims: List[int] = field(default_factory=list)
+    #: Optimal node-LP dual multipliers captured during the proving solve,
+    #: keyed by canonical phase-map items -- the raw material
+    #: :func:`~repro.certs.reuse.extract_certificate` records.  Not part
+    #: of the verdict wire form.
+    leaf_duals: Optional[dict] = None
+
+    @property
+    def num_leaves(self) -> int:
+        return len(self.leaves)
+
+    def compatible_with(self, network: Network) -> bool:
+        return network.block_dims() == list(self.block_dims)
+
+
+@dataclass
 class Certificate:
     """A persistable, re-checkable record of one proved threshold solve.
 
     ``leaves`` is the covering frontier of settled phase maps (the same
-    invariant as :class:`~repro.exact.incremental.BranchCertificate`);
+    invariant as :class:`BranchCertificate`);
     ``leaf_bounds`` / ``leaf_verdicts`` are the batched-screen results at
     record time.  All of it is advisory: the reuse path re-screens every
     leaf in float64 against the network it is actually given.

@@ -1,17 +1,20 @@
-"""Recording and replaying certificates: the delta-verification core.
+"""Threshold proofs, cold or warm: the delta-verification core.
 
-:func:`extract_certificate` turns one proved threshold solve (its
-covering leaves) into a :class:`~repro.certs.certificate.Certificate`,
-annotating every leaf with its node-LP bound, verdict, and -- the
-delta-verification workhorse -- the LP's optimal **dual multipliers** at
-record time.  :func:`reverify_with_certificate` is the other direction:
-given a (possibly perturbed) network, warm-start the solver from the
-stored leaves, settling them with :func:`dual_start_screen` -- one
-batched float64 re-screen against the new weights that combines the
-phase-clamped interval/affine bounds with a per-leaf Lagrangian
-evaluation of the stored duals.  Only the leaves whose bounds actually
-moved past the threshold pay a delta-LP (and, if needed, further
-branching).
+:func:`prove_threshold` is the one threshold-proof path.  Cold, it runs a
+full-budget search from the root.  Warm, given a stored
+:class:`~repro.certs.certificate.Certificate` and a (possibly perturbed)
+network, it starts the search from the stored leaves and settles them
+with :func:`dual_start_screen` -- one batched float64 re-screen against
+the new weights that combines the phase-clamped interval/affine bounds
+with a per-leaf Lagrangian evaluation of the stored duals.  Only the
+leaves whose bounds actually moved past the threshold pay a delta-LP
+(and, if needed, further branching).  Either way a proof returns its
+covering leaves as a :class:`~repro.certs.certificate.BranchCertificate`.
+
+:func:`extract_certificate` turns those leaves into a store-ready
+:class:`~repro.certs.certificate.Certificate`, annotating every leaf
+with its node-LP bound, verdict, and -- the delta-verification
+workhorse -- the LP's optimal **dual multipliers** at record time.
 
 Why duals, and why this is sound
 --------------------------------
@@ -37,8 +40,8 @@ loosen the bound and cost an LP, never flip a verdict.
 Branching decisions are weights-independent partitions, which is why
 they transfer across weight perturbations at all: a covering set of
 phase regions for the old network covers the new one verbatim
-("partitions survive, consequences do not" --
-:mod:`repro.exact.incremental`).
+("partitions survive, consequences do not" -- see
+:class:`~repro.certs.certificate.BranchCertificate`).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import numpy as np
 from repro.api.config import VerifyConfig
 from repro.certs.certificate import (
     CERT_VERSION,
+    BranchCertificate,
     Certificate,
     config_digest,
     content_fingerprint,
@@ -57,13 +61,11 @@ from repro.certs.certificate import (
 )
 from repro.domains.batch import _block_slope, phase_clamped_affine_bounds
 from repro.domains.box import Box
-from repro.exact.bab import BaBResult, BaBSolver
+from repro.exact.bab import BAB_OPTIMAL, BAB_PROVED, BaBResult, BaBSolver
 from repro.exact.encoding import PhaseMap
-from repro.exact.incremental import BranchCertificate
 from repro.nn.network import Network
 
-__all__ = ["extract_certificate", "reverify_with_certificate",
-           "dual_start_screen"]
+__all__ = ["extract_certificate", "prove_threshold", "dual_start_screen"]
 
 
 def _screen_batch(solver: BaBSolver, phase_maps: List[PhaseMap],
@@ -258,54 +260,62 @@ def extract_certificate(network: Network, input_box: Box,
     )
 
 
-def reverify_with_certificate(network: Network, input_box: Box,
-                              objective: np.ndarray, threshold: float,
-                              cert: Certificate,
-                              config: Optional[VerifyConfig] = None,
-                              ) -> Tuple[BaBResult,
-                                         Optional[BranchCertificate]]:
-    """Threshold solve warm-started from a validated certificate.
+def prove_threshold(network: Network, input_box: Box, c: np.ndarray,
+                    threshold: float, config: Optional[VerifyConfig] = None,
+                    cert: Optional[Certificate] = None,
+                    collect_duals: Optional[dict] = None,
+                    ) -> Tuple[BaBResult, Optional[BranchCertificate]]:
+    """Prove ``max c @ f(x) <= threshold``, cold or warm-started.
 
-    Mirrors :func:`repro.exact.incremental._certify_threshold` exactly --
-    full node budget, covering-leaf collection, same proof condition --
-    except the search starts from ``cert.leaves`` instead of the root,
-    and the start batch is settled by :func:`dual_start_screen`.  The
-    returned :class:`BranchCertificate` (``None`` unless proved) carries
-    the *new* covering frontier, which the caller re-records so the store
-    always warm-starts from the latest proved version.
+    Certificates are global proofs, so the search runs under the config's
+    full node budget and collects its covering leaves.  Returns
+    ``(result, BranchCertificate | None)``; the certificate is ``None``
+    unless the proof succeeded.
 
-    Soundness: the screen re-derives every bound in float64 against
-    ``network``'s actual weights before settling a leaf, and the solver
-    completes the search for any leaf left open -- the stored payload is
-    hints, not evidence.  ``result.nodes_reused`` / ``lp_solves_saved``
-    report how much of the warm start paid off.
+    ``cert`` (a validated :class:`Certificate`; see
+    :func:`~repro.certs.certificate.validate_certificate`) warm-starts
+    the search from its leaves instead of the root, with the start batch
+    settled by :func:`dual_start_screen`.  Soundness does not depend on
+    it: the screen re-derives every bound in float64 against
+    ``network``'s actual weights before settling a leaf, and the search
+    completes whatever stays open -- the stored payload is hints, not
+    evidence.  ``result.nodes_reused`` / ``lp_solves_saved`` report how
+    much of the warm start paid off.
+
+    ``collect_duals`` (a caller-owned dict) captures each node LP's
+    optimal dual multipliers and rides back on the certificate's
+    ``leaf_duals`` -- the raw material :func:`extract_certificate`
+    records.  On a warm start, leaves the screen settled LP-free keep
+    their stored multipliers (still the freshest available).
     """
     config = config or VerifyConfig()
+    objective = np.asarray(c, dtype=np.float64)
+    threshold = float(threshold)
     solver = BaBSolver.from_config(
         network, input_box,
         config.replace(node_limit=config.effective_full_node_limit))
-    new_leaves: List[PhaseMap] = []
-    new_duals: dict = {}
-    result = solver.maximize(
-        np.asarray(objective, dtype=np.float64), threshold=float(threshold),
-        initial_nodes=[dict(leaf) for leaf in cert.leaves],
-        collect_leaves=new_leaves,
-        start_screen=dual_start_screen(solver, cert, objective),
-        collect_duals=new_duals)
-    # Leaves the screen settled LP-free keep their stored multipliers for
-    # the re-record (still the freshest available); leaves the search
-    # re-solved get this run's (setdefault: fresh captures win).
-    for j, leaf in enumerate(cert.leaves):
-        if j < len(cert.leaf_duals) and cert.leaf_duals[j] is not None:
-            new_duals.setdefault(_leaf_key(leaf), cert.leaf_duals[j])
-    if result.status not in ("threshold_proved", "optimal") or \
-            result.upper_bound > float(threshold) + config.tol:
+    warm_start = {}
+    if cert is not None:
+        warm_start = {
+            "initial_nodes": [dict(leaf) for leaf in cert.leaves],
+            "start_screen": dual_start_screen(solver, cert, objective),
+        }
+    leaves: List[PhaseMap] = []
+    result = solver.maximize(objective, threshold=threshold,
+                             collect_leaves=leaves,
+                             collect_duals=collect_duals, **warm_start)
+    if cert is not None and collect_duals is not None:
+        # setdefault: multipliers the search just captured win.
+        for leaf, dual in zip(cert.leaves, cert.leaf_duals):
+            if dual is not None:
+                collect_duals.setdefault(_leaf_key(leaf), dual)
+    if result.status not in (BAB_PROVED, BAB_OPTIMAL) or \
+            result.upper_bound > threshold + config.tol:
         return result, None
-    certificate = BranchCertificate(
-        objective=np.asarray(objective, dtype=np.float64).copy(),
-        threshold=float(threshold),
-        leaves=new_leaves,
+    return result, BranchCertificate(
+        objective=objective.copy(),
+        threshold=threshold,
+        leaves=leaves,
         block_dims=network.block_dims(),
-        leaf_duals=new_duals,
+        leaf_duals=collect_duals,
     )
-    return result, certificate

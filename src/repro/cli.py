@@ -52,9 +52,10 @@ def _add_engine_args(parser: argparse.ArgumentParser,
     if pool_flag:
         engine.add_argument("--workers", type=int, default=None,
                             help="worker-pool width for the exact branch-"
-                                 "and-bound legs; >= 2 switches to the "
-                                 "parallel frontier search, whose verdicts "
-                                 "do not depend on the pool width")
+                                 "and-bound legs; >= 2 widens the frontier "
+                                 "search and solves each round's LPs "
+                                 "concurrently, with verdicts independent "
+                                 "of the pool width")
     if not full:
         return
     engine.add_argument("--tol", type=float, default=None,
@@ -65,9 +66,9 @@ def _add_engine_args(parser: argparse.ArgumentParser,
                         help="node budget for global (from-scratch) solves")
     engine.add_argument("--frontier-width", type=int, default=None,
                         help="nodes expanded per frontier round; 0 resets "
-                             "a bundled value back to the solver's fixed "
-                             "constant (which keeps verdicts pool-width "
-                             "independent)")
+                             "a bundled value back to the solver default "
+                             "(1 on one worker, a fixed constant on a "
+                             "pool)")
     engine.add_argument("--node-tighten",
                         action=argparse.BooleanOptionalAction, default=None,
                         help="feed batched phase-clamped bounds into each "

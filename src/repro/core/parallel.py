@@ -23,6 +23,7 @@ private per-call pool so they are never starved or silently narrowed.
 from __future__ import annotations
 
 import atexit
+import contextvars
 import heapq
 import os
 import threading
@@ -199,15 +200,21 @@ def run_parallel(tasks: Sequence[Tuple[str, Callable[[], object]]],
     free (a background joiner handles that), so the width accounting stays
     exact.  Without a timeout the historical barrier semantics hold: the
     call returns only when every task is done.
+
+    Each task runs in a copy of the caller's :mod:`contextvars` context,
+    so per-run state the caller set (e.g. the encoding-reuse tally of
+    :func:`repro.exact.encoding.count_encoding_reuse`) follows its tasks
+    onto the pool threads.
     """
     global _RESERVED
     if workers <= 0:
         raise ReproError(f"workers must be positive, got {workers}")
     deadline = None if timeout is None else time.monotonic() + timeout
 
-    def timed(thunk: Callable[[], object]) -> Tuple[object, float]:
+    def timed(context: contextvars.Context,
+              thunk: Callable[[], object]) -> Tuple[object, float]:
         t0 = time.perf_counter()
-        value = thunk()
+        value = context.run(thunk)
         return value, time.perf_counter() - t0
 
     # This call occupies at most min(workers, len(tasks)) pool threads at
@@ -234,7 +241,8 @@ def run_parallel(tasks: Sequence[Tuple[str, Callable[[], object]]],
             for _, thunk in tasks:
                 if deadline is not None and time.monotonic() >= deadline:
                     break  # the tail is reported TIMED_OUT, never submitted
-                futures.append(pool.submit(timed, thunk))
+                futures.append(pool.submit(timed, contextvars.copy_context(),
+                                           thunk))
             return _gather(tasks, futures, deadline)
         finally:
             # Submission included, so an interrupt mid-loop still hits the
@@ -259,9 +267,10 @@ def run_parallel(tasks: Sequence[Tuple[str, Callable[[], object]]],
         # reservation bound holds.
         gate = threading.BoundedSemaphore(workers)
 
-        def gated(thunk: Callable[[], object]) -> Tuple[object, float]:
+        def gated(context: contextvars.Context,
+                  thunk: Callable[[], object]) -> Tuple[object, float]:
             try:
-                return timed(thunk)
+                return timed(context, thunk)
             finally:
                 gate.release()
 
@@ -274,7 +283,8 @@ def run_parallel(tasks: Sequence[Tuple[str, Callable[[], object]]],
                 if remaining <= 0 or not gate.acquire(timeout=remaining):
                     break  # deadline hit mid-submission: the tail times out
             try:
-                futures.append(pool.submit(gated, thunk))
+                futures.append(pool.submit(gated, contextvars.copy_context(),
+                                           thunk))
             except BaseException:
                 gate.release()  # submit failed: the slot was never taken
                 raise

@@ -13,6 +13,7 @@ from repro.exact.encoding import (
     NetworkEncoding,
     PhaseMap,
     clear_encoding_cache,
+    count_encoding_reuse,
     encoding_cache_stats,
 )
 from repro.exact.milp import MILPResult, solve_milp
@@ -25,11 +26,6 @@ from repro.exact.bab import (
 from repro.exact.parallel_bab import FRONTIER_WIDTH, maximize_frontier
 from repro.exact.splitting import SplitResult, check_containment_split
 from repro.exact.tighten import TightenStats, tighten_preactivation_bounds
-from repro.exact.incremental import (
-    BranchCertificate,
-    certify_threshold,
-    prove_with_certificate,
-)
 from repro.exact.verify import (
     ContainmentResult,
     check_containment,
@@ -38,12 +34,9 @@ from repro.exact.verify import (
 
 __all__ = [
     "BaBResult",
-    "BranchCertificate",
     "FRONTIER_WIDTH",
     "maximize_frontier",
     "TightenStats",
-    "certify_threshold",
-    "prove_with_certificate",
     "tighten_preactivation_bounds",
     "BaBSolver",
     "ContainmentResult",
@@ -59,6 +52,7 @@ __all__ = [
     "check_containment",
     "check_containment_split",
     "clear_encoding_cache",
+    "count_encoding_reuse",
     "encoding_cache_stats",
     "maximize_output",
     "minimize_output",

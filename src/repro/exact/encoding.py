@@ -36,11 +36,13 @@ re-runs symbolic propagation or base assembly (paper Sec. VI, proof reuse).
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,6 +58,7 @@ __all__ = [
     "LinearSystem",
     "NetworkEncoding",
     "encoding_cache_stats",
+    "count_encoding_reuse",
     "clear_encoding_cache",
 ]
 
@@ -267,6 +270,10 @@ _ENCODING_CACHE: "OrderedDict[tuple, NetworkEncoding]" = OrderedDict()
 _ENCODING_CACHE_LOCK = threading.Lock()
 _ENCODING_CACHE_SIZE = 32
 _ENCODING_CACHE_STATS = {"hits": 0, "misses": 0}  # guarded-by: _ENCODING_CACHE_LOCK
+#: The per-run tallies open in the current context, outermost first (see
+#: :func:`count_encoding_reuse`); bumped under ``_ENCODING_CACHE_LOCK``.
+_RUN_TALLIES: "contextvars.ContextVar[Tuple[Dict[str, int], ...]]" = \
+    contextvars.ContextVar("repro_encoding_tallies", default=())
 #: Guards the class-level construction counter (``NetworkEncoding.builds``):
 #: ``+=`` on an attribute is not atomic in CPython, and encodings are
 #: constructed from worker threads by the parallel proposition checks.
@@ -293,9 +300,38 @@ def _network_fingerprint(network: Network) -> bytes:
 
 
 def encoding_cache_stats() -> Dict[str, int]:
-    """Snapshot of :meth:`NetworkEncoding.for_problem` cache hits/misses."""
+    """Snapshot of :meth:`NetworkEncoding.for_problem` cache hits/misses,
+    summed over the whole process."""
     with _ENCODING_CACHE_LOCK:
         return dict(_ENCODING_CACHE_STATS)
+
+
+@contextmanager
+def count_encoding_reuse() -> Iterator[Dict[str, int]]:
+    """Tally the :meth:`NetworkEncoding.for_problem` hits/misses of one run.
+
+    Yields a live ``{"hits", "misses"}`` dict that counts only the calls
+    made inside the block's context: the calling thread, plus the pool
+    tasks it submits through :func:`repro.core.parallel.run_parallel`
+    (which run in a copy of the submitter's context).  Runs overlapping
+    on other threads do not leak in, unlike a delta of the process-wide
+    :func:`encoding_cache_stats`.  Blocks nest: a call counts in every
+    enclosing tally.
+    """
+    tally = {"hits": 0, "misses": 0}
+    token = _RUN_TALLIES.set(_RUN_TALLIES.get() + (tally,))
+    try:
+        yield tally
+    finally:
+        _RUN_TALLIES.reset(token)
+
+
+def _count_locked(outcome: str) -> None:
+    """Charge one cache ``outcome`` process-wide and to every open tally.
+    Caller holds ``_ENCODING_CACHE_LOCK``."""
+    _ENCODING_CACHE_STATS[outcome] += 1
+    for tally in _RUN_TALLIES.get():
+        tally[outcome] += 1
 
 
 def clear_encoding_cache() -> None:
@@ -363,7 +399,7 @@ class NetworkEncoding:
             cached = _ENCODING_CACHE.get(key)
             if cached is not None:
                 _ENCODING_CACHE.move_to_end(key)
-                _ENCODING_CACHE_STATS["hits"] += 1
+                _count_locked("hits")
                 return cached
         encoding = cls(network, input_box)  # built outside the lock
         with _ENCODING_CACHE_LOCK:
@@ -372,9 +408,9 @@ class NetworkEncoding:
             existing = _ENCODING_CACHE.get(key)
             if existing is not None:
                 _ENCODING_CACHE.move_to_end(key)
-                _ENCODING_CACHE_STATS["hits"] += 1
+                _count_locked("hits")
                 return existing
-            _ENCODING_CACHE_STATS["misses"] += 1
+            _count_locked("misses")
             _ENCODING_CACHE[key] = encoding
             while len(_ENCODING_CACHE) > _ENCODING_CACHE_SIZE:
                 _ENCODING_CACHE.popitem(last=False)

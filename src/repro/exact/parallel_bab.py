@@ -1,15 +1,12 @@
-"""Parallel frontier branch and bound on the shared sparse encoding.
+"""Frontier branch and bound on the shared sparse encoding.
 
-The scalar search of :mod:`repro.exact.bab` expands one node at a time:
-pop the best open node, screen its two children with a batched interval
-pass, build each surviving child's LP as *base + phase delta* on the shared
-:class:`~repro.exact.encoding.NetworkEncoding`, solve, push.  Every stage of
-that loop was built batch-first (PR 1's ``phase_clamped_node_bounds``
-screens N regions in one pass; PR 2's encoding composes any node LP from
-one read-only base), so the search itself is the last sequential piece.
-This module removes it: the **frontier search** expands the top-K open
-nodes per synchronous round and solves all surviving child LPs concurrently
-on the shared worker pool of :mod:`repro.core.parallel`.
+This is the one search behind :meth:`repro.exact.bab.BaBSolver.maximize`.
+It expands the top-K open nodes per synchronous round, screens all their
+children with one batched interval pass, builds each surviving child's LP
+as *base + phase delta* on the shared
+:class:`~repro.exact.encoding.NetworkEncoding`, and solves the round's LPs
+concurrently on the shared worker pool of :mod:`repro.core.parallel`.  At
+width 1 on one worker it is the classic best-first search.
 
 One round
 ---------
@@ -34,12 +31,12 @@ One round
 
 Soundness
 ---------
-The scalar invariant -- the true maximum never exceeds
-``max(incumbent, screened_bound, max over open-node bounds)`` -- extends to
-the frontier search with one addition: during a round, nodes that have been
-popped but whose children are still being screened/solved ("in-flight"
-regions) are covered by *their own* LP bounds, which are at least their
-children's bounds (a child's feasible set is a subset of its parent's).
+The best-first invariant -- the true maximum never exceeds
+``max(incumbent, screened_bound, max over open-node bounds)`` -- holds
+with one addition: during a round, nodes that have been popped but whose
+children are still being screened/solved ("in-flight" regions) are
+covered by *their own* LP bounds, which are at least their children's
+bounds (a child's feasible set is a subset of its parent's).
 Every reported global bound is therefore taken as the max over the heap,
 the bounds of the round's popped nodes, the interval-settled regions and
 the incumbent -- a sound upper bound at every instant, including early
@@ -49,14 +46,14 @@ contributes both children, each of which settles or returns to the heap.
 
 Determinism
 -----------
-``frontier_width`` is deliberately *independent* of ``workers`` (a fixed
-constant by default).  The sequence of rounds -- which nodes are popped,
-which children are screened, which LPs are solved, and the order results
-are folded -- is then a pure function of the problem, so ``status`` is
-byte-identical and ``optimum`` bitwise-identical across worker counts:
-``workers`` only changes how many of a round's LPs are in flight at once.
-(Raising ``frontier_width`` for very wide pools changes the trajectory,
-not soundness: bounds/verdicts agree within ``tol``.)
+The width is fixed per solve by the rule in :func:`maximize_frontier`,
+never by how many LPs the pool happens to run at once.  The sequence of
+rounds -- which nodes are popped, which children are screened, which LPs
+are solved, and the order results are folded -- is then a pure function
+of the problem and the width, so for ``workers >= 2`` ``status`` is
+byte-identical and ``optimum`` bitwise-identical across worker counts.
+A different width changes the trajectory, not soundness: bounds and
+verdicts agree within ``tol``.
 """
 
 from __future__ import annotations
@@ -82,9 +79,9 @@ from repro.exact.lp import LP_INFEASIBLE, LP_OPTIMAL, LPResult, solve_lp
 
 __all__ = ["FRONTIER_WIDTH", "maximize_frontier"]
 
-#: Nodes expanded per synchronous round.  A fixed default (rather than a
-#: multiple of ``workers``) keeps the search trajectory -- and hence the
-#: verdict -- identical across worker counts; see the module docstring.
+#: Nodes expanded per synchronous round on a pool (``workers >= 2``).  A
+#: fixed default (rather than a multiple of ``workers``) keeps the search
+#: trajectory -- and hence the verdict -- identical across pool widths.
 FRONTIER_WIDTH = 8
 
 
@@ -95,11 +92,16 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
                       start_screen=None,
                       collect_duals: Optional[dict] = None,
                       ) -> BaBResult:
-    """Frontier-parallel ``max c @ f(x)`` with :class:`BaBSolver` semantics.
+    """Frontier ``max c @ f(x)``: the body of :meth:`BaBSolver.maximize`.
 
     Same contract as :meth:`BaBSolver.maximize` (thresholds, warm starts,
-    covering leaves); concurrency and per-round batch statistics are
-    reported through the extra :class:`BaBResult` fields.
+    covering leaves); per-round batch statistics are reported through the
+    extra :class:`BaBResult` fields.
+
+    Width rule: an explicit ``solver.frontier_width`` wins.  Otherwise the
+    width is 1 on one worker (best-first search: every expansion sees the
+    incumbent of all earlier rounds) and :data:`FRONTIER_WIDTH` on a pool
+    (``workers >= 2``), where a round's LPs run concurrently.
     """
     # Imported lazily: repro.core.parallel pulls in the proposition
     # machinery, which sits *above* the exact layer in the import graph.
@@ -114,8 +116,10 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
     #: pure churn.  Clamp the in-flight LP concurrency instead; the
     #: trajectory (hence verdict/optimum) never depends on this.
     pool_workers = effective_workers(workers)
-    width = FRONTIER_WIDTH if solver.frontier_width is None \
-        else int(solver.frontier_width)
+    if solver.frontier_width is not None:
+        width = int(solver.frontier_width)
+    else:
+        width = 1 if workers == 1 else FRONTIER_WIDTH
     if width < 1:
         raise SolverError(f"frontier_width must be positive, got {width}")
     objective = enc.output_objective(np.asarray(c, dtype=np.float64))
@@ -167,8 +171,7 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
 
         ``workers > 1`` submits the whole batch to the shared pool in one
         :func:`run_parallel` call; a single worker (or a single task) runs
-        inline -- identical results either way, so the sequential path is
-        the honest baseline the speedup benchmark compares against.
+        inline -- identical results either way.
         """
         nonlocal lp_solves
         lp_solves += len(items)
@@ -239,9 +242,7 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
     for j, start in enumerate(starts):
         ub_est = float(start_ubs[j]) if solver.interval_prune else None
         # Starts screen against an -inf incumbent: all surviving start LPs
-        # solve in one concurrent batch, so no earlier start's incumbent
-        # exists yet (the scalar search, solving sequentially, does prune
-        # later starts against earlier ones -- same verdicts, more LPs).
+        # solve in one batch, so no earlier start's incumbent exists yet.
         verdict = solver._screen_verdict(
             ub_est, not use_screen or bool(start_feasible[j]),
             -np.inf, threshold)
@@ -271,7 +272,7 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
             # Every LP-checked region was empty, but interval-screened
             # regions cover the rest below the threshold.
             return finish(BAB_PROVED, screened_bound)
-        nodes = len(starts)  # scalar-search parity for the infeasible case
+        nodes = len(starts)  # every start was examined and found empty
         return result(BAB_INFEASIBLE, -np.inf)
 
     # ---------------------------------------------------------------- rounds
@@ -344,9 +345,10 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
                 record_leaf(child)  # the region is empty: settled
                 continue
             if res.status != LP_OPTIMAL:
-                # Same status discipline as the scalar search: an unbounded
-                # (or otherwise failed) child relaxation must surface, not
-                # silently settle as a leaf.
+                # An unbounded child relaxation can never be *settled*:
+                # recording it as a leaf would drop an infinite upper
+                # bound from the search.  Node LPs over a bounded input
+                # box are bounded, so this is a solver/encoding failure.
                 raise SolverError(f"child LP ended with status {res.status}")
             child_bound = -res.value
             capture_duals(child, res)

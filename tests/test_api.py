@@ -185,20 +185,19 @@ class TestEngineLegacyEquivalence:
 
     @pytest.mark.parametrize("workers", WORKER_MATRIX)
     def test_threshold_certificate(self, fig2, enlarged_box2, workers):
-        from repro.exact import certify_threshold
+        from repro.certs import prove_threshold
 
         c = np.array([1.0])
         verdict = _engine(workers).verify(ThresholdSpec(
             network=fig2, input_box=enlarged_box2, objective=c,
             threshold=12.0))
-        legacy_res, legacy_cert = _legacy(certify_threshold, fig2,
-                                          enlarged_box2, c, 12.0,
-                                          workers=workers)
-        _assert_bab_equal(verdict.result, legacy_res)
+        direct_res, direct_cert = prove_threshold(
+            fig2, enlarged_box2, c, 12.0, VerifyConfig(workers=workers))
+        _assert_bab_equal(verdict.result, direct_res)
         assert verdict.holds is True and verdict.certified
-        assert verdict.certificate.num_leaves == legacy_cert.num_leaves
-        assert verdict.certificate.block_dims == legacy_cert.block_dims
-        for la, lb in zip(verdict.certificate.leaves, legacy_cert.leaves):
+        assert verdict.certificate.num_leaves == direct_cert.num_leaves
+        assert verdict.certificate.block_dims == direct_cert.block_dims
+        for la, lb in zip(verdict.certificate.leaves, direct_cert.leaves):
             assert la == lb
 
     @pytest.mark.parametrize("workers", WORKER_MATRIX)
@@ -294,6 +293,70 @@ class TestEngineLegacyEquivalence:
         assert prov.lp_solves == verdict.result.lp_solves
         assert prov.workers == 2
         assert set(prov.encoding_reuse) == {"hits", "misses"}
+
+
+# ================================================== per-run encoding reuse
+class _BarrierCertStore:
+    """A certificate provider whose lookup and write both wait on one
+    barrier: two runs sharing it are inside their solves at the same time,
+    and neither reports provenance before the other's encoding work."""
+
+    def __init__(self, barrier):
+        self.barrier = barrier
+
+    def cert_get(self, key):
+        self.barrier.wait(timeout=60)
+        return None
+
+    def cert_put(self, key, cert_json):
+        self.barrier.wait(timeout=60)
+
+
+class TestEncodingReusePerRun:
+    def _specs(self, fig2, enlarged_box2):
+        other = random_relu_network([3, 8, 6, 1], seed=4, weight_scale=0.5)
+        return [
+            ThresholdSpec(network=fig2, input_box=enlarged_box2,
+                          objective=np.array([1.0]), threshold=12.0),
+            ThresholdSpec(network=other, input_box=Box(-np.ones(3),
+                                                       np.ones(3)),
+                          objective=np.array([1.0]), threshold=50.0),
+        ]
+
+    @staticmethod
+    def _run(spec, barrier):
+        engine = VerificationEngine(VerifyConfig(certs="reuse"),
+                                    certs=_BarrierCertStore(barrier))
+        return engine.verify(spec).provenance.encoding_reuse
+
+    def test_overlapping_runs_count_only_their_own(self, fig2,
+                                                   enlarged_box2):
+        import threading
+
+        from repro.exact import clear_encoding_cache
+
+        specs = self._specs(fig2, enlarged_box2)
+        alone = []
+        for spec in specs:
+            clear_encoding_cache()
+            alone.append(self._run(spec, threading.Barrier(1)))
+        assert alone[0]["misses"] == 1 and alone[1]["misses"] == 1
+
+        clear_encoding_cache()
+        barrier = threading.Barrier(len(specs))
+        overlapped = [None] * len(specs)
+
+        def run(i):
+            overlapped[i] = self._run(specs[i], barrier)
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(specs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert overlapped == alone
 
 
 # ================================================================== submit
@@ -574,9 +637,8 @@ class TestDeprecationShims:
                                             setup):
         from repro.core import (check_prop1, check_prop2, check_prop4,
                                 check_prop5, verify_from_scratch)
-        from repro.exact import (certify_threshold, check_containment,
-                                 maximize_output, minimize_output,
-                                 output_range_exact)
+        from repro.exact import (check_containment, maximize_output,
+                                 minimize_output, output_range_exact)
 
         artifacts, problem, tuned = setup
         enlarged = problem.din.inflate(0.01)
@@ -587,7 +649,6 @@ class TestDeprecationShims:
             lambda: minimize_output(fig2, enlarged_box2, c),
             lambda: check_containment(fig2, enlarged_box2, target),
             lambda: output_range_exact(fig2, enlarged_box2),
-            lambda: certify_threshold(fig2, enlarged_box2, c, 12.0),
             lambda: check_prop1(artifacts, enlarged),
             lambda: check_prop2(artifacts, enlarged),
             lambda: check_prop4(artifacts, tuned),

@@ -1,9 +1,10 @@
 """Parallel frontier BaB, pool-reservation safety, and solver-status fixes.
 
 The determinism contract under test: the frontier trajectory depends only
-on ``frontier_width`` (a fixed constant by default), never on ``workers``,
-so statuses are byte-identical and optima bitwise-identical across worker
-counts; and the frontier agrees with the scalar search within tolerance.
+on the frontier width, never on how many workers solve a round's LPs, so
+statuses are byte-identical and optima bitwise-identical across worker
+counts at one width; and the default width-1 best-first search on one
+worker agrees with the width-``FRONTIER_WIDTH`` search within tolerance.
 """
 
 import threading
@@ -13,15 +14,16 @@ import pytest
 
 from repro.domains import Box
 from repro.errors import ReproError, SolverError
+from repro.api import VerifyConfig
+from repro.certs import extract_certificate, prove_threshold
 from repro.exact import (
+    FRONTIER_WIDTH,
     BaBSolver,
     NetworkEncoding,
-    certify_threshold,
     check_containment,
     clear_encoding_cache,
     encoding_cache_stats,
     maximize_output,
-    prove_with_certificate,
 )
 from repro.core.parallel import reserved_width, run_parallel
 from repro.core import parallel as parallel_mod
@@ -32,9 +34,10 @@ WORKER_MATRIX = (1, 2, 8)
 
 class TestWorkerMatrix:
     def test_fig2_optimum_identical_across_workers(self, fig2, enlarged_box2):
-        scalar = BaBSolver(fig2, enlarged_box2).maximize(np.array([1.0]))
+        best_first = BaBSolver(fig2, enlarged_box2).maximize(np.array([1.0]))
         results = [
-            BaBSolver(fig2, enlarged_box2, workers=w, frontier=True)
+            BaBSolver(fig2, enlarged_box2, workers=w,
+                      frontier_width=FRONTIER_WIDTH)
             .maximize(np.array([1.0]))
             for w in WORKER_MATRIX
         ]
@@ -43,8 +46,8 @@ class TestWorkerMatrix:
         assert len({r.upper_bound for r in results}) == 1
         assert len({r.lp_solves for r in results}) == 1
         assert len({r.nodes for r in results}) == 1
-        # ... and agreeing with the scalar search and the paper's value.
-        assert results[0].upper_bound == pytest.approx(scalar.upper_bound,
+        # ... and agreeing with the best-first search and the paper's value.
+        assert results[0].upper_bound == pytest.approx(best_first.upper_bound,
                                                        abs=1e-9)
         assert results[0].upper_bound == pytest.approx(6.2, abs=1e-6)
 
@@ -56,7 +59,8 @@ class TestWorkerMatrix:
                                                     threshold, expected):
         statuses = set()
         for w in WORKER_MATRIX:
-            res = BaBSolver(fig2, enlarged_box2, workers=w, frontier=True) \
+            res = BaBSolver(fig2, enlarged_box2, workers=w,
+                            frontier_width=FRONTIER_WIDTH) \
                 .maximize(np.array([1.0]), threshold=threshold)
             statuses.add(res.status)
             if expected == "threshold_refuted":
@@ -64,16 +68,18 @@ class TestWorkerMatrix:
         assert statuses == {expected}
 
     def test_random_nets_parity_with_scalar(self):
+        """The one-worker best-first search (width 1) and the pool search
+        (width ``FRONTIER_WIDTH``) agree on random nets."""
         for seed in range(3):
             net = random_relu_network([3, 10, 8, 2], seed=seed,
                                       weight_scale=0.9)
             box = Box(-np.ones(3), np.ones(3))
             c = np.array([1.0, -0.5])
-            scalar = BaBSolver(net, box).maximize(c)
+            best_first = BaBSolver(net, box).maximize(c)
             frontier = BaBSolver(net, box, workers=4).maximize(c)
-            assert frontier.status == scalar.status == "optimal"
+            assert frontier.status == best_first.status == "optimal"
             assert frontier.upper_bound == pytest.approx(
-                scalar.upper_bound, abs=1e-6)
+                best_first.upper_bound, abs=1e-6)
 
     def test_minimize_through_frontier(self, fig2, enlarged_box2):
         lo_s = BaBSolver(fig2, enlarged_box2).minimize(np.array([1.0]))
@@ -84,10 +90,8 @@ class TestWorkerMatrix:
         assert lo_f.workers == 2
 
     def test_frontier_stats_reported(self, fig2, enlarged_box2):
-        scalar = BaBSolver(fig2, enlarged_box2).maximize(np.array([1.0]))
         frontier = BaBSolver(fig2, enlarged_box2, workers=2) \
             .maximize(np.array([1.0]))
-        assert scalar.rounds == 0 and scalar.max_batch == 0
         assert frontier.rounds >= 1
         assert frontier.max_batch >= 1
         assert frontier.mean_batch > 0
@@ -107,24 +111,35 @@ class TestWorkerMatrix:
         assert lone.holds is True and wide.holds is True
 
 
+def _recorded(network, box, threshold, config):
+    """Prove ``max f(x) <= threshold`` cold and record the certificate."""
+    c = np.array([1.0])
+    res, proof = prove_threshold(network, box, c, threshold, config,
+                                 collect_duals={})
+    assert proof is not None
+    return res, proof, extract_certificate(
+        network, box, c, threshold, res, proof.leaves, config=config,
+        duals=proof.leaf_duals)
+
+
 class TestFrontierCertificates:
     def test_certify_and_reprove_parallel(self, fig2, enlarged_box2):
-        res, cert = certify_threshold(fig2, enlarged_box2, np.array([1.0]),
-                                      threshold=12.0, workers=4)
+        config = VerifyConfig(workers=4)
+        res, proof, cert = _recorded(fig2, enlarged_box2, 12.0, config)
         assert res.status in ("threshold_proved", "optimal")
-        assert cert is not None and cert.num_leaves >= 1
+        assert proof.num_leaves >= 1
         # The frontier's settled leaves cover the region: re-proving from
         # them (again in parallel) must close without a fresh search.
-        reproved = prove_with_certificate(fig2, enlarged_box2, cert,
-                                          workers=4)
+        reproved, _ = prove_threshold(fig2, enlarged_box2, np.array([1.0]),
+                                      12.0, config, cert=cert)
         assert reproved.status in ("threshold_proved", "optimal")
         assert reproved.upper_bound <= 12.0 + 1e-6
 
     def test_warm_start_matches_cold(self, fig2, enlarged_box2):
-        _, cert = certify_threshold(fig2, enlarged_box2, np.array([1.0]),
-                                    threshold=12.0)
+        _, _, cert = _recorded(fig2, enlarged_box2, 12.0, VerifyConfig())
         for w in (1, 2):
-            res = prove_with_certificate(fig2, enlarged_box2, cert, workers=w)
+            res, _ = prove_threshold(fig2, enlarged_box2, np.array([1.0]),
+                                     12.0, VerifyConfig(workers=w), cert=cert)
             assert res.status in ("threshold_proved", "optimal")
 
 
@@ -231,6 +246,34 @@ class TestEncodingCacheConcurrency:
         # All callers share the one cached object (one base to compose on).
         assert all(enc is found[0] for enc in found)
 
+    def test_run_tally_follows_pool_tasks(self):
+        """A run's encoding tally counts the lookups of the pool tasks it
+        submits, exactly once each, and nothing from outside the run."""
+        import sys
+
+        from repro.exact import count_encoding_reuse
+
+        clear_encoding_cache()
+        nets = [random_relu_network([3, 6, 1], seed=s, weight_scale=0.7)
+                for s in range(4)]
+        box = Box(-np.ones(3), np.ones(3))
+        n_tasks = 4 * parallel_mod._POOL_SIZE + 8
+        tasks = [(f"t{i}", lambda i=i: NetworkEncoding.for_problem(
+            nets[i % len(nets)], box)) for i in range(n_tasks)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            before = encoding_cache_stats()
+            with count_encoding_reuse() as tally:
+                run_parallel(tasks, workers=8)
+            NetworkEncoding.for_problem(nets[0], box)  # outside the run
+            after = encoding_cache_stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert tally == {"hits": n_tasks - len(nets), "misses": len(nets)}
+        assert after["hits"] - before["hits"] == tally["hits"] + 1
+        assert after["misses"] - before["misses"] == tally["misses"]
+
     def test_concurrent_solvers_share_one_base(self, fig2, enlarged_box2):
         clear_encoding_cache()
         enc = NetworkEncoding.for_problem(fig2, enlarged_box2)
@@ -265,13 +308,23 @@ class TestFrontierEdgeCases:
         net = random_relu_network([4, 12, 10, 1], seed=2, weight_scale=1.2)
         box = Box(-np.ones(4), np.ones(4))
         outs = [
-            BaBSolver(net, box, node_limit=5, workers=w, frontier=True)
+            BaBSolver(net, box, node_limit=5, workers=w,
+                      frontier_width=FRONTIER_WIDTH)
             .maximize(np.array([1.0]))
             for w in WORKER_MATRIX
         ]
         assert len({o.status for o in outs}) == 1
         assert len({o.upper_bound for o in outs}) == 1
         assert len({o.nodes for o in outs}) == 1
+
+    @pytest.mark.parametrize("workers", WORKER_MATRIX)
+    def test_node_limit_stop_reports_the_budget(self, workers):
+        net = random_relu_network([4, 12, 10, 1], seed=2, weight_scale=1.2)
+        box = Box(-np.ones(4), np.ones(4))
+        res = BaBSolver(net, box, node_limit=5, workers=workers).maximize(
+            np.array([1.0]))
+        assert res.status == "node_limit"
+        assert res.nodes == 5
 
     def test_frontier_width_validated(self, fig2, enlarged_box2):
         solver = BaBSolver(fig2, enlarged_box2, workers=2, frontier_width=0)

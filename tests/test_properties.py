@@ -7,7 +7,9 @@ These are the load-bearing soundness contracts:
 * Lipschitz certificates dominate observed slopes;
 * box algebra behaves like a lattice;
 * network abstraction sandwiches the concrete network;
-* proposition verdicts of ``True`` imply sampled safety.
+* proposition verdicts of ``True`` imply sampled safety;
+* the frontier width and certificate warm starts change a threshold
+  proof's cost, never its decision.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.domains import Box, box_kappa, propagate_network
-from repro.exact import maximize_output
+from repro.exact import BaBSolver, maximize_output
 from repro.lipschitz import empirical_lipschitz, global_lipschitz_bound, local_lipschitz_bound
 from repro.nn import random_relu_network
 from repro.netabs import build_abstraction
@@ -199,18 +201,59 @@ class TestBackwardRefinement:
                 assert res.input_box.contains_point(x, tol=1e-7)
 
 
+def _threshold_case(dims, seed, offset):
+    """A small ReLU net and a threshold ``offset`` from its optimum."""
+    d_in, d_hidden, d_out = dims
+    net = random_relu_network([d_in, d_hidden, d_out], seed=seed,
+                              weight_scale=1.0)
+    box = Box(-np.ones(d_in), np.ones(d_in))
+    c = np.random.default_rng(seed).normal(size=d_out)
+    opt = BaBSolver(net, box).maximize(c)
+    return net, box, c, opt.upper_bound + offset
+
+
+offsets = st.sampled_from([-0.3, -0.05, 0.05, 0.3])
+
+
+class TestFrontierWidths:
+    @SETTINGS
+    @given(dims=dims, seed=seeds, offset=offsets)
+    def test_widths_agree_on_decisions(self, dims, seed, offset):
+        net, box, c, threshold = _threshold_case(dims, seed, offset)
+        results = [BaBSolver(net, box, frontier_width=width)
+                   .maximize(c, threshold=threshold) for width in (1, 8)]
+        decisions = {"threshold_refuted" if r.status == "threshold_refuted"
+                     else "proved" for r in results}
+        assert len(decisions) == 1
+        assert {r.status for r in results} <= {
+            "optimal", "threshold_proved", "threshold_refuted"}
+        optima = [BaBSolver(net, box, frontier_width=width).maximize(c)
+                  for width in (1, 8)]
+        assert optima[0].upper_bound == pytest.approx(optima[1].upper_bound,
+                                                      abs=1e-6)
+
+
 class TestBranchCertificates:
     @SETTINGS
-    @given(seed=seeds)
-    def test_warm_reproof_matches_cold_verdict(self, seed):
-        from repro.exact import certify_threshold, prove_with_certificate
+    @given(dims=dims, seed=seeds, offset=offsets)
+    def test_warm_reproof_matches_cold_verdict(self, dims, seed, offset):
+        """``prove_threshold`` decides the same cold and warm-started."""
+        from repro.api import (ThresholdSpec, VerificationEngine,
+                               VerifyConfig, verdict_decision_json)
+        from repro.serve import JobStore
 
-        net = random_relu_network([2, 5, 1], seed=seed, weight_scale=1.0)
-        box = Box(-np.ones(2), np.ones(2))
-        opt = maximize_output(net, box, np.array([1.0]))
-        threshold = opt.upper_bound + 0.1
-        _, cert = certify_threshold(net, box, np.array([1.0]), threshold)
-        assert cert is not None
-        res = prove_with_certificate(net, box, cert)
-        assert res.status in ("threshold_proved", "optimal")
-        assert res.upper_bound <= threshold + 1e-6
+        net, box, c, threshold = _threshold_case(dims, seed, abs(offset))
+        tuned = net.perturb(0.05, np.random.default_rng(seed))
+        spec = ThresholdSpec(network=tuned, input_box=box, objective=c,
+                             threshold=threshold)
+        with JobStore() as store:
+            warm_engine = VerificationEngine(VerifyConfig(certs="reuse"),
+                                             certs=store)
+            first = warm_engine.verify(ThresholdSpec(
+                network=net, input_box=box, objective=c,
+                threshold=threshold))
+            assert first.holds is True
+            warm = warm_engine.verify(spec)
+        cold = VerificationEngine(VerifyConfig()).verify(spec)
+        assert warm.provenance.cert_hit
+        assert verdict_decision_json(warm) == verdict_decision_json(cold)

@@ -3,17 +3,40 @@
 import numpy as np
 import pytest
 
+from repro.api import VerifyConfig
+from repro.certs import (extract_certificate, prove_threshold,
+                         validate_certificate)
 from repro.domains import Box
 from repro.domains.symbolic import SymbolicPropagator
-from repro.errors import ArtifactError
+from repro.errors import CertificateError
 from repro.exact import (
     BaBSolver,
-    certify_threshold,
     maximize_output,
-    prove_with_certificate,
     tighten_preactivation_bounds,
 )
 from repro.nn import random_relu_network
+
+C = np.array([1.0])
+CONFIG = VerifyConfig()
+
+
+def certify(net, box, threshold):
+    """Cold threshold proof: ``(result, BranchCertificate | None)``."""
+    return prove_threshold(net, box, C, threshold, CONFIG, collect_duals={})
+
+
+def recorded(net, box, threshold):
+    """A cold proof's store-ready certificate."""
+    res, proof = certify(net, box, threshold)
+    return extract_certificate(net, box, C, threshold, res, proof.leaves,
+                               config=CONFIG, duals=proof.leaf_duals)
+
+
+def reprove(net, box, cert, threshold=None):
+    """Threshold proof warm-started from ``cert``'s leaves."""
+    threshold = cert.threshold if threshold is None else threshold
+    res, _ = prove_threshold(net, box, C, threshold, CONFIG, cert=cert)
+    return res
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +93,9 @@ class TestBranchCertificate:
         net, box = net_and_box
         opt = maximize_output(net, box, np.array([1.0]))
         threshold = opt.upper_bound + 0.1
-        res, cert = certify_threshold(net, box, np.array([1.0]), threshold)
-        assert cert is not None and cert.num_leaves >= 1
-        again = prove_with_certificate(net, box, cert)
+        res, proof = certify(net, box, threshold)
+        assert proof is not None and proof.num_leaves >= 1
+        again = reprove(net, box, recorded(net, box, threshold))
         assert again.status in ("threshold_proved", "optimal")
         assert again.upper_bound <= threshold + 1e-6
 
@@ -80,9 +103,10 @@ class TestBranchCertificate:
         net, box = net_and_box
         opt = maximize_output(net, box, np.array([1.0]))
         threshold = opt.upper_bound + 0.5
-        _, cert = certify_threshold(net, box, np.array([1.0]), threshold)
+        cert = recorded(net, box, threshold)
         tuned = net.perturb(1e-4, np.random.default_rng(0))
-        res = prove_with_certificate(tuned, box, cert)
+        validate_certificate(cert, tuned, C, threshold, CONFIG)
+        res = reprove(tuned, box, cert)
         assert res.status in ("threshold_proved", "optimal")
         # soundness: brute force respects the re-proved threshold
         vals = tuned.forward(box.sample(3000, np.random.default_rng(1)))
@@ -92,9 +116,9 @@ class TestBranchCertificate:
         net, box = net_and_box
         opt = maximize_output(net, box, np.array([1.0]))
         threshold = opt.upper_bound + 1.0
-        _, cert = certify_threshold(net, box, np.array([1.0]), threshold)
+        cert = recorded(net, box, threshold)
         bigger = box.inflate(0.01)
-        res = prove_with_certificate(net, bigger, cert)
+        res = reprove(net, bigger, cert)
         if res.status in ("threshold_proved", "optimal"):
             vals = net.forward(bigger.sample(3000, np.random.default_rng(2)))
             assert vals.max() <= threshold + 1e-6
@@ -102,35 +126,31 @@ class TestBranchCertificate:
     def test_refutes_when_threshold_violated(self, net_and_box):
         net, box = net_and_box
         opt = maximize_output(net, box, np.array([1.0]))
-        _, cert = certify_threshold(net, box, np.array([1.0]),
-                                    opt.upper_bound + 0.5)
-        res = prove_with_certificate(net, box, cert,
-                                     threshold=opt.upper_bound - 0.5)
+        cert = recorded(net, box, opt.upper_bound + 0.5)
+        res = reprove(net, box, cert, threshold=opt.upper_bound - 0.5)
         assert res.status == "threshold_refuted"
 
     def test_no_certificate_on_failed_proof(self, net_and_box):
         net, box = net_and_box
         opt = maximize_output(net, box, np.array([1.0]))
-        res, cert = certify_threshold(net, box, np.array([1.0]),
-                                      opt.upper_bound - 1.0)
-        assert cert is None
+        res, proof = certify(net, box, opt.upper_bound - 1.0)
+        assert proof is None
         assert res.status == "threshold_refuted"
 
     def test_architecture_mismatch_rejected(self, net_and_box):
         net, box = net_and_box
         opt = maximize_output(net, box, np.array([1.0]))
-        _, cert = certify_threshold(net, box, np.array([1.0]),
-                                    opt.upper_bound + 1.0)
+        threshold = opt.upper_bound + 1.0
+        cert = recorded(net, box, threshold)
         other = random_relu_network([4, 6, 1], seed=0)
-        with pytest.raises(ArtifactError):
-            prove_with_certificate(other, box, cert)
+        with pytest.raises(CertificateError, match="architecture"):
+            validate_certificate(cert, other, C, threshold, CONFIG)
 
     def test_leaves_cover_space(self, net_and_box, rng):
         """Every input point satisfies some leaf's phase constraints."""
         net, box = net_and_box
         opt = maximize_output(net, box, np.array([1.0]))
-        _, cert = certify_threshold(net, box, np.array([1.0]),
-                                    opt.upper_bound + 0.05)
+        _, cert = certify(net, box, opt.upper_bound + 0.05)
         blocks = net.blocks()
         for x in box.sample(200, rng):
             pre = []
